@@ -17,7 +17,9 @@
 //! and, on the surrogate:
 //!
 //! * full hyper-search GP refits vs incremental Cholesky row-append
-//!   fits at several training-set sizes.
+//!   fits at several training-set sizes;
+//! * one kriging-believer batch selection at the scale of a paper-size
+//!   edge search (`acquisition/select_batch/n384`, seconds per call).
 //!
 //! Output is a single JSON artifact (default `BENCH_batch_eval.json`,
 //! override with `--out <file>`), schema
@@ -42,7 +44,7 @@ use rand::{Rng, SeedableRng};
 use unico_bench::microbench::MicroBench;
 use unico_mapping::{Mapping, MappingSpace};
 use unico_model::{EvalCache, Platform, SpatialPlatform};
-use unico_surrogate::{GaussianProcess, KernelKind};
+use unico_surrogate::{select_batch, AcquisitionKind, GaussianProcess, KernelKind};
 use unico_workloads::TensorOp;
 
 /// Candidates per measured batch — the scale of one SH cohort.
@@ -273,6 +275,41 @@ fn bench_gp(b: &mut MicroBench, entries: &mut Vec<Entry>) {
     }
 }
 
+/// One MOBO iteration's acquisition at paper scale: a Matérn-5/2 GP over
+/// 384 samples in the edge platform's feature space picks a batch of 22
+/// from a pool of 256 candidates by kriging-believer EI. Hyperparameters
+/// are fixed (no likelihood search) so only acquisition is timed; the
+/// clone of the carried GP is included, as in the outer loop.
+fn bench_acquisition(b: &mut MicroBench, entries: &mut Vec<Entry>) {
+    const N: usize = 384;
+    const POOL: usize = 256;
+    const PICKS: usize = 22;
+    let dim = SpatialPlatform::edge().feature_dim();
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut point = || -> Vec<f64> { (0..dim).map(|_| rng.gen_range(0.0..1.0)).collect() };
+    let xs: Vec<Vec<f64>> = (0..N).map(|_| point()).collect();
+    let pool: Vec<Vec<f64>> = (0..POOL).map(|_| point()).collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|x| x.iter().map(|v| (v - 0.5).powi(2)).sum::<f64>())
+        .collect();
+    let best = ys.iter().copied().fold(f64::INFINITY, f64::min);
+    let mut gp = GaussianProcess::new(KernelKind::Matern52, dim);
+    gp.fit_with_hypers(&xs, &ys, 0.4, 1.0, 1e-4)
+        .expect("acquisition bench fit");
+    let name = format!("acquisition/select_batch/n{N}");
+    let row = b.run(&name, || {
+        select_batch(
+            gp.clone(),
+            &pool,
+            best,
+            AcquisitionKind::ExpectedImprovement,
+            PICKS,
+        )
+    });
+    entries.push(entry(name, "seconds", row.median_ns * 1e-9));
+}
+
 fn render_json(entries: &[Entry]) -> String {
     let mut o = String::from("{\"schema\":\"unico.bench.batch_eval.v1\",\"entries\":[");
     for (i, e) in entries.iter().enumerate() {
@@ -307,6 +344,7 @@ fn main() {
     bench_eval(&mut b, &mut entries);
     bench_eval_contended(&mut b, &mut entries);
     bench_gp(&mut b, &mut entries);
+    bench_acquisition(&mut b, &mut entries);
 
     println!("\n{}", b.to_markdown());
     unico_bench::write_file(std::path::Path::new(&out), &render_json(&entries));

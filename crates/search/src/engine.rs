@@ -164,7 +164,18 @@ impl MappingEngine {
 
 impl Drop for MappingEngine {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Raise the flag under the queue lock: a worker reads it with the
+        // lock held just before it waits, so without the lock the notify
+        // below can land between that read and the wait and be lost,
+        // leaving the join below blocked forever.
+        {
+            let _queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.ready.notify_all();
         for handle in self.handles.drain(..) {
             // Workers contain job panics themselves; a join error would

@@ -1,6 +1,6 @@
 //! Acquisition functions and kriging-believer batch selection.
 
-use crate::gp::GaussianProcess;
+use crate::gp::{GaussianProcess, PredictionMemo};
 
 /// Which acquisition function batch selection maximizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +66,14 @@ pub fn ucb(mean: f64, variance: f64, beta: f64) -> f64 {
 /// The GP is consumed (hallucinations mutate it); pass a clone if the
 /// original is still needed.
 ///
+/// Each candidate keeps a [`PredictionMemo`] across picks. A
+/// hallucination appends one row to the Cholesky factor and leaves its
+/// leading block untouched, so a candidate's kernel row and forward solve
+/// grow by one entry per pick: O(n) per candidate per pick instead of the
+/// O(n²) solve, with bit-identical predictions. When a hallucination
+/// falls back to a from-scratch refactorization, the GP invalidates every
+/// memo and the next scan re-solves from zero.
+///
 /// # Panics
 ///
 /// Panics if `pool` is empty or `batch == 0`.
@@ -79,34 +87,29 @@ pub fn select_batch(
     assert!(!pool.is_empty(), "empty candidate pool");
     assert!(batch > 0, "batch must be positive");
     let mut chosen: Vec<usize> = Vec::with_capacity(batch);
-    // Kernel rows k(candidate, training point) are memoized across
-    // kriging-believer rounds: each hallucination adds exactly one
-    // training point, so a candidate's row only grows by its evaluation
-    // against that point instead of being rebuilt from scratch — the
-    // prediction bits are unchanged.
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); pool.len()];
+    let mut memos: Vec<PredictionMemo<'_>> = pool.iter().map(|x| PredictionMemo::new(x)).collect();
     for _ in 0..batch.min(pool.len()) {
-        let mut best_idx = None;
+        // (index, predicted mean) of the best candidate so far.
+        let mut winner = None;
         let mut best_score = f64::NEG_INFINITY;
-        for (i, x) in pool.iter().enumerate() {
+        for (i, memo) in memos.iter_mut().enumerate() {
             if chosen.contains(&i) {
                 continue;
             }
-            gp.extend_kernel_row(x, &mut rows[i]);
-            let (mean, var) = gp.predict_prepared(x, &rows[i]);
+            let (mean, var) = gp.predict_with(memo);
             let score = match kind {
                 AcquisitionKind::ExpectedImprovement => expected_improvement(mean, var, best),
                 AcquisitionKind::LowerConfidenceBound { beta } => ucb(mean, var, beta),
             };
             if score > best_score {
                 best_score = score;
-                best_idx = Some(i);
+                winner = Some((i, mean));
             }
         }
-        let idx = best_idx.expect("pool larger than chosen set");
+        let (idx, mean) = winner.expect("pool larger than chosen set");
         chosen.push(idx);
-        let (mean, _) = gp.predict_prepared(&pool[idx], &rows[idx]);
-        // A failed hallucination only degrades batch diversity; keep going.
+        // A failed hallucination leaves the GP as it was and only
+        // degrades batch diversity; keep going.
         let _ = gp.hallucinate(pool[idx].clone(), mean);
     }
     chosen

@@ -2,6 +2,7 @@
 //! fitting.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -42,6 +43,28 @@ impl fmt::Display for GpError {
 
 impl std::error::Error for GpError {}
 
+/// Identity of one Cholesky factor lineage: every from-scratch
+/// factorization takes a fresh value, row appends keep it. Values are
+/// drawn from a process-wide counter and a clone draws its own, so two
+/// GPs never share one — a [`PredictionMemo`] cannot be replayed against
+/// a factor it was not solved on.
+#[derive(Debug)]
+struct FactorGeneration(u64);
+
+impl FactorGeneration {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        FactorGeneration(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for FactorGeneration {
+    /// A clone may grow its factor differently from the original.
+    fn clone(&self) -> Self {
+        FactorGeneration::fresh()
+    }
+}
+
 /// A Gaussian-process regressor over `[0, 1]^d` features.
 ///
 /// Targets are standardized internally (zero mean, unit variance), and
@@ -49,6 +72,14 @@ impl std::error::Error for GpError {}
 /// selected by random multi-start search maximizing the log marginal
 /// likelihood — cheap, dependency-free, and entirely adequate for the
 /// few-hundred-point training sets a co-optimization run produces.
+///
+/// The Cholesky factor `L` changes in two ways only: appended rows
+/// ([`GaussianProcess::fit_incremental`], [`GaussianProcess::hallucinate`])
+/// leave its leading block bit-for-bit untouched, while a from-scratch
+/// rebuild (any fit, or the jitter-ladder fallback of an append) replaces
+/// it and starts a new factor generation. [`PredictionMemo`] relies on
+/// exactly this: it keeps its solve across appends and restarts it from
+/// zero after a rebuild.
 #[derive(Debug, Clone)]
 pub struct GaussianProcess {
     kind: KernelKind,
@@ -62,6 +93,32 @@ pub struct GaussianProcess {
     y_std: f64,
     chol: Option<Matrix>,
     alpha: Vec<f64>,
+    generation: FactorGeneration,
+}
+
+/// One candidate's memoized prediction state for
+/// [`GaussianProcess::predict_with`]: the kernel row `k(x_i, x)` and the
+/// forward solve `v = L⁻¹k` over the training points seen so far, tagged
+/// with the factor generation they were solved against. Whether the memo
+/// is still valid is the GP's decision, not the caller's.
+#[derive(Debug, Clone)]
+pub struct PredictionMemo<'a> {
+    x: &'a [f64],
+    row: Vec<f64>,
+    v: Vec<f64>,
+    generation: u64,
+}
+
+impl<'a> PredictionMemo<'a> {
+    /// An empty memo for predictions at `x`.
+    pub fn new(x: &'a [f64]) -> Self {
+        PredictionMemo {
+            x,
+            row: Vec::new(),
+            v: Vec::new(),
+            generation: 0,
+        }
+    }
 }
 
 impl GaussianProcess {
@@ -78,6 +135,7 @@ impl GaussianProcess {
             y_std: 1.0,
             chol: None,
             alpha: Vec::new(),
+            generation: FactorGeneration::fresh(),
         }
     }
 
@@ -116,7 +174,10 @@ impl GaussianProcess {
     }
 
     /// Full factorization of the current `(x, kernel, noise)` state with
-    /// jitter escalation, recomputing `alpha` against `y_norm`.
+    /// jitter escalation, recomputing `alpha` against `y_norm`. On success
+    /// the factor starts a new generation (invalidating every
+    /// [`PredictionMemo`]); on failure nothing but `x`/`y_norm` (which the
+    /// caller set) differs from before the call.
     fn refactor(&mut self) -> Result<(), GpError> {
         let mut jitter = self.noise;
         for _ in 0..8 {
@@ -128,6 +189,7 @@ impl GaussianProcess {
                     self.chol = Some(l);
                     self.alpha = alpha;
                     self.noise = jitter;
+                    self.generation = FactorGeneration::fresh();
                     return Ok(());
                 }
                 Err(_) => jitter = (jitter * 10.0).max(1e-8),
@@ -324,31 +386,21 @@ impl GaussianProcess {
     ///
     /// Panics if `x.len() != self.dim()`.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let kx: Vec<f64> = self.x.iter().map(|xi| self.kernel.eval(xi, x)).collect();
-        self.predict_prepared(x, &kx)
+        self.predict_with(&mut PredictionMemo::new(x))
     }
 
-    /// Extends a memoized kernel row in place, appending
-    /// `k(self.x[i], x)` for the training points `row.len()..self.len()`
-    /// absorbed since the row was last extended. Starting from an empty
-    /// row this builds exactly the vector [`GaussianProcess::predict`]
-    /// computes internally; across kriging-believer rounds only the one
-    /// newly hallucinated point per round is evaluated.
-    pub fn extend_kernel_row(&self, x: &[f64], row: &mut Vec<f64>) {
-        for xi in &self.x[row.len()..] {
-            row.push(self.kernel.eval(xi, x));
-        }
-    }
-
-    /// [`GaussianProcess::predict`] with a precomputed kernel row (as
-    /// grown by [`GaussianProcess::extend_kernel_row`]): skips the O(n)
-    /// kernel evaluations, bit-identical result.
+    /// [`GaussianProcess::predict`] at the memo's point, reusing and
+    /// extending the memo's kernel row and forward solve: only training
+    /// points appended since the memo was last used are evaluated and
+    /// solved for (O(n) instead of O(n²)), unless the factor was rebuilt
+    /// in between, in which case the memo starts over. Bitwise identical
+    /// to a fresh `predict` either way.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.dim()` or the row is stale (shorter
-    /// than the training set of a fitted GP).
-    pub fn predict_prepared(&self, x: &[f64], row: &[f64]) -> (f64, f64) {
+    /// Panics if the memo's point does not have `self.dim()` entries.
+    pub fn predict_with(&self, memo: &mut PredictionMemo<'_>) -> (f64, f64) {
+        let x = memo.x;
         assert_eq!(x.len(), self.dim, "prediction dimension mismatch");
         let Some(l) = &self.chol else {
             return (
@@ -356,11 +408,19 @@ impl GaussianProcess {
                 self.kernel.variance() * self.y_std * self.y_std,
             );
         };
-        assert_eq!(row.len(), self.x.len(), "stale kernel row");
-        let mean_norm: f64 = row.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
-        let v = l.solve_lower(row);
-        let var_norm =
-            (self.kernel.eval(x, x) + self.noise - v.iter().map(|u| u * u).sum::<f64>()).max(0.0);
+        if memo.generation != self.generation.0 {
+            memo.row.clear();
+            memo.v.clear();
+            memo.generation = self.generation.0;
+        }
+        for xi in &self.x[memo.row.len()..] {
+            memo.row.push(self.kernel.eval(xi, x));
+        }
+        l.solve_lower_extend(&memo.row, &mut memo.v);
+        let mean_norm: f64 = memo.row.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
+        let var_norm = (self.kernel.eval(x, x) + self.noise
+            - memo.v.iter().map(|u| u * u).sum::<f64>())
+        .max(0.0);
         (
             mean_norm * self.y_std + self.y_mean,
             var_norm * self.y_std * self.y_std,
@@ -375,12 +435,13 @@ impl GaussianProcess {
     /// order, so the grown factor is bit-identical to the full
     /// refactorization this method used to perform. Falls back to the
     /// full jitter ladder when there is no factor yet or the extension
-    /// is not positive definite.
+    /// is not positive definite; only that fallback starts a new factor
+    /// generation.
     ///
     /// # Errors
     ///
     /// Returns an error if the augmented kernel matrix cannot be
-    /// factorized.
+    /// factorized. The GP is then left exactly as before the call.
     pub fn hallucinate(&mut self, x: Vec<f64>, y: f64) -> Result<(), GpError> {
         if x.len() != self.dim {
             return Err(GpError::DimensionMismatch {
@@ -406,8 +467,13 @@ impl GaussianProcess {
             return Ok(());
         }
         self.refactor().map_err(|_| {
+            // A failed append and a failed ladder both leave the factor,
+            // alpha and noise untouched: dropping the point restores the
+            // pre-call state.
+            self.x.pop();
+            self.y_norm.pop();
             GpError::Factorization(LinalgError::NotPositiveDefinite {
-                pivot: self.x.len() - 1,
+                pivot: self.x.len(),
             })
         })
     }
@@ -505,5 +571,25 @@ mod tests {
         gp.hallucinate(vec![0.5], 1.0).unwrap();
         let (_, v_after) = gp.predict(&[0.5]);
         assert!(v_after < v_before, "hallucination should reduce variance");
+    }
+
+    #[test]
+    fn failed_hallucination_leaves_gp_unchanged() {
+        let xs = vec![vec![0.2], vec![0.8]];
+        let ys = vec![1.0, 0.0];
+        let mut gp = GaussianProcess::new(KernelKind::Matern52, 1);
+        gp.fit(&xs, &ys, &mut rng()).unwrap();
+        let before = gp.predict(&[0.5]);
+        let err = gp.hallucinate(vec![f64::NAN], 0.0).unwrap_err();
+        assert_eq!(
+            err,
+            GpError::Factorization(LinalgError::NotPositiveDefinite { pivot: 2 })
+        );
+        assert_eq!(gp.len(), 2);
+        let after = gp.predict(&[0.5]);
+        assert_eq!(before.0.to_bits(), after.0.to_bits());
+        assert_eq!(before.1.to_bits(), after.1.to_bits());
+        gp.hallucinate(vec![0.5], 0.5).unwrap();
+        assert_eq!(gp.len(), 3);
     }
 }

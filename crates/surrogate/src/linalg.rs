@@ -111,18 +111,35 @@ impl Matrix {
     ///
     /// Panics on dimension mismatch.
     pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = Vec::with_capacity(b.len());
+        self.solve_lower_extend(b, &mut x);
+        x
+    }
+
+    /// Finishes a forward substitution `L x = b` whose leading entries
+    /// `x[..m]` are already solved, appending `x[m..n]` in place.
+    ///
+    /// Entry `i` depends only on `L[i, ..=i]`, `b[i]` and `x[..i]`, so a
+    /// prefix solved against the leading `m×m` block of this factor —
+    /// e.g. before [`Matrix::cholesky_append_row`] grew it — stays valid,
+    /// and the result is bitwise identical to [`Matrix::solve_lower`]
+    /// from scratch (which is this method from an empty prefix).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch or if `x` is longer than `b`.
+    pub fn solve_lower_extend(&self, b: &[f64], x: &mut Vec<f64>) {
         assert_eq!(self.rows, self.cols);
         assert_eq!(b.len(), self.rows, "solve_lower dimension mismatch");
-        let n = self.rows;
-        let mut x = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self[(i, k)] * x[k];
+        assert!(x.len() <= self.rows, "solve_lower prefix longer than L");
+        for (i, &bi) in b.iter().enumerate().skip(x.len()) {
+            let row = &self.data[i * self.cols..i * self.cols + i];
+            let mut sum = bi;
+            for (l, xk) in row.iter().zip(x.iter()) {
+                sum -= l * xk;
             }
-            x[i] = sum / self[(i, i)];
+            x.push(sum / self.data[i * self.cols + i]);
         }
-        x
     }
 
     /// Solves `Lᵀ x = b` for lower-triangular `L` (backward substitution
@@ -411,6 +428,20 @@ mod tests {
                     "({i},{j})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn extended_solve_after_append_is_bitwise_identical() {
+        let mut l = spd3().cholesky().unwrap();
+        let b = [0.3, -1.2, 0.7, 2.0];
+        let mut x = l.solve_lower(&b[..3]);
+        l.cholesky_append_row(&[0.3, 0.2, 0.9], 2.5).unwrap();
+        l.solve_lower_extend(&b, &mut x);
+        let scratch = l.solve_lower(&b);
+        assert_eq!(x.len(), 4);
+        for (u, v) in x.iter().zip(&scratch) {
+            assert_eq!(u.to_bits(), v.to_bits());
         }
     }
 

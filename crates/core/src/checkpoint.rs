@@ -13,10 +13,11 @@
 //! pattern** (a decimal `u64`), so a restore is bit-exact and the
 //! resume-equivalence oracle can compare fronts and reports
 //! byte-for-byte; it also means non-finite values (the initial
-//! `uul = +inf`) round-trip without special cases. Writes are atomic:
-//! the file is staged as `<path>.tmp`, synced, then renamed over the
-//! destination, so a crash mid-write never corrupts the previous
-//! checkpoint.
+//! `uul = +inf`) round-trip without special cases. Reading goes through
+//! the workspace parser, `unico_workloads::json`, and any other number
+//! form is a parse error. Writes are atomic: the file is staged as
+//! `<path>.tmp`, synced, then renamed over the destination, so a crash
+//! mid-write never corrupts the previous checkpoint.
 //!
 //! Serialization lives here; conversion to and from the live loop state
 //! is `unico.rs`'s job, keeping this module free of search/platform
@@ -27,6 +28,8 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+
+use unico_workloads::json::{self, escape, Json};
 
 use crate::unico::UnicoConfig;
 
@@ -318,7 +321,7 @@ impl Checkpoint {
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(4096);
         o.push('{');
-        o.push_str(&format!("\"schema\":{},", string(SCHEMA)));
+        o.push_str(&format!("\"schema\":{},", escape(SCHEMA)));
         let c = &self.config;
         o.push_str(&format!(
             "\"config\":{{\"max_iter\":{},\"batch\":{},\"b_max\":{},\"auc_fraction\":{},\
@@ -339,7 +342,7 @@ impl Checkpoint {
             c.seed,
             c.workers
         ));
-        o.push_str(&format!("\"platform\":{},", string(&self.platform)));
+        o.push_str(&format!("\"platform\":{},", escape(&self.platform)));
         o.push_str(&format!("\"iterations_done\":{},", self.iterations_done));
         o.push_str(&format!(
             "\"rng\":[{},{},{},{}],",
@@ -392,7 +395,7 @@ impl Checkpoint {
         push_joined(&mut o, &self.networks, |o, n| {
             o.push_str(&format!(
                 "{{\"name\":{},\"layers\":{}}}",
-                string(&n.name),
+                escape(&n.name),
                 n.layers
             ))
         });
@@ -403,7 +406,7 @@ impl Checkpoint {
                 o.push(',');
             }
             first = false;
-            o.push_str(&format!("{}:{v}", string(k)));
+            o.push_str(&format!("{}:{v}", escape(k)));
         }
         o.push_str("},\"cache\":");
         match &self.cache {
@@ -413,7 +416,7 @@ impl Checkpoint {
                 c.hits,
                 c.misses,
                 c.evictions,
-                string(&c.trace)
+                escape(&c.trace)
             )),
         }
         o.push_str(",\"gp\":");
@@ -439,34 +442,39 @@ impl Checkpoint {
     /// [`CheckpointError::Schema`] for a wrong schema string or a
     /// missing/mistyped field.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let v = parse_json(text).map_err(CheckpointError::Parse)?;
+        let v = json::parse(text).map_err(CheckpointError::Parse)?;
+        bit_patterns_only(&v).map_err(CheckpointError::Parse)?;
+        Checkpoint::from_value(&v).map_err(CheckpointError::Schema)
+    }
+
+    fn from_value(v: &Json) -> Result<Self, String> {
         let top = v.as_obj("checkpoint")?;
         let schema = get(top, "schema")?.as_str("schema")?;
         if schema != SCHEMA {
-            return Err(CheckpointError::Schema(format!(
+            return Err(format!(
                 "unsupported schema {schema:?} (expected {SCHEMA:?})"
-            )));
+            ));
         }
         let c = get(top, "config")?.as_obj("config")?;
         let config = UnicoConfig {
             max_iter: get(c, "max_iter")?.as_usize("max_iter")?,
             batch: get(c, "batch")?.as_usize("batch")?,
             b_max: get(c, "b_max")?.as_u64("b_max")?,
-            auc_fraction: get(c, "auc_fraction")?.as_f64_bits("auc_fraction")?,
+            auc_fraction: float(c, "auc_fraction")?,
             high_fidelity: get(c, "high_fidelity")?.as_bool("high_fidelity")?,
             robustness_objective: get(c, "robustness_objective")?
                 .as_bool("robustness_objective")?,
-            alpha: get(c, "alpha")?.as_f64_bits("alpha")?,
-            rho: get(c, "rho")?.as_f64_bits("rho")?,
-            random_fraction: get(c, "random_fraction")?.as_f64_bits("random_fraction")?,
+            alpha: float(c, "alpha")?,
+            rho: float(c, "rho")?,
+            random_fraction: float(c, "random_fraction")?,
             candidate_pool: get(c, "candidate_pool")?.as_usize("candidate_pool")?,
-            uul_percentile: get(c, "uul_percentile")?.as_f64_bits("uul_percentile")?,
+            uul_percentile: float(c, "uul_percentile")?,
             seed: get(c, "seed")?.as_u64("seed")?,
             workers: get(c, "workers")?.as_u64("workers")? as u32,
         };
         let rng_v = get(top, "rng")?.as_arr("rng")?;
         if rng_v.len() != 4 {
-            return Err(CheckpointError::Schema("rng must have 4 words".into()));
+            return Err("rng must have 4 words".into());
         }
         let mut rng = [0u64; 4];
         for (dst, v) in rng.iter_mut().zip(rng_v) {
@@ -482,7 +490,7 @@ impl Checkpoint {
                     idx: get(e, "idx")?.as_usize("front idx")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let evaluations = get(top, "evaluations")?
             .as_arr("evaluations")?
             .iter()
@@ -498,16 +506,14 @@ impl Checkpoint {
                     v => {
                         let a = f64_rows_one(v, "assessment")?;
                         if a.len() != 3 {
-                            return Err(CheckpointError::Schema(
-                                "assessment must have 3 objectives".into(),
-                            ));
+                            return Err("assessment must have 3 objectives".into());
                         }
                         Some([a[0], a[1], a[2]])
                     }
                 };
                 let robustness = match get(e, "robustness")? {
                     Json::Null => None,
-                    v => Some(v.as_f64_bits("robustness")?),
+                    v => Some(f64::from_bits(v.as_u64("robustness")?)),
                 };
                 Ok(EvalSnapshot {
                     hw_words,
@@ -518,18 +524,18 @@ impl Checkpoint {
                     fed: get(e, "fed")?.as_bool("fed")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let trace = get(top, "trace")?
             .as_arr("trace")?
             .iter()
             .map(|p| {
                 let p = p.as_obj("trace point")?;
                 Ok(TraceSnapshot {
-                    seconds: get(p, "seconds")?.as_f64_bits("seconds")?,
+                    seconds: float(p, "seconds")?,
                     front: f64_rows(get(p, "front")?, "trace front")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let networks = get(top, "networks")?
             .as_arr("networks")?
             .iter()
@@ -540,7 +546,7 @@ impl Checkpoint {
                     layers: get(n, "layers")?.as_usize("network layers")?,
                 })
             })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         let mut counters = BTreeMap::new();
         for (k, v) in get(top, "counters")?.as_obj("counters")? {
             counters.insert(k.clone(), v.as_u64("counter")?);
@@ -564,9 +570,9 @@ impl Checkpoint {
             Some(v) => {
                 let g = v.as_obj("gp")?;
                 Some(GpHypers {
-                    length_scale: get(g, "length_scale")?.as_f64_bits("gp length_scale")?,
-                    variance: get(g, "variance")?.as_f64_bits("gp variance")?,
-                    noise: get(g, "noise")?.as_f64_bits("gp noise")?,
+                    length_scale: float(g, "length_scale")?,
+                    variance: float(g, "variance")?,
+                    noise: float(g, "noise")?,
                     fitted_n: get(g, "fitted_n")?.as_usize("gp fitted_n")?,
                 })
             }
@@ -576,8 +582,8 @@ impl Checkpoint {
             platform: get(top, "platform")?.as_str("platform")?.to_string(),
             iterations_done: get(top, "iterations_done")?.as_usize("iterations_done")?,
             rng,
-            clock_seconds: get(top, "clock_seconds")?.as_f64_bits("clock_seconds")?,
-            uul: get(top, "uul")?.as_f64_bits("uul")?,
+            clock_seconds: float(top, "clock_seconds")?,
+            uul: float(top, "uul")?,
             accepted_d: f64_rows_one(get(top, "accepted_d")?, "accepted_d")?,
             front,
             evaluations,
@@ -658,311 +664,43 @@ fn push_joined<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, 
     }
 }
 
-fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader for the checkpoint dialect: objects, arrays,
-// strings, `true`/`false`/`null`, and *unsigned decimal integers* (the
-// writer stores every float as its u64 bit pattern, so signs, fractions
-// and exponents never occur and are rejected).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], CheckpointError> {
-        match self {
-            Json::Obj(m) => Ok(m),
-            v => Err(mistyped(what, "object", v)),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], CheckpointError> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            v => Err(mistyped(what, "array", v)),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, CheckpointError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            v => Err(mistyped(what, "string", v)),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, CheckpointError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            v => Err(mistyped(what, "bool", v)),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, CheckpointError> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            v => Err(mistyped(what, "number", v)),
-        }
-    }
-
-    fn as_usize(&self, what: &str) -> Result<usize, CheckpointError> {
-        usize::try_from(self.as_u64(what)?)
-            .map_err(|_| CheckpointError::Schema(format!("{what} overflows usize")))
-    }
-
-    fn as_f64_bits(&self, what: &str) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.as_u64(what)?))
+/// Checkpoints store every float as its bit pattern, so a number that
+/// is not a plain unsigned integer marks a corrupt or foreign file.
+fn bit_patterns_only(v: &Json) -> Result<(), String> {
+    match v {
+        Json::Num(n) => Err(format!(
+            "number {n} is not a plain unsigned integer (checkpoint floats are bit patterns)"
+        )),
+        Json::Arr(items) => items.iter().try_for_each(bit_patterns_only),
+        Json::Obj(fields) => fields.iter().try_for_each(|(_, v)| bit_patterns_only(v)),
+        _ => Ok(()),
     }
 }
 
-fn mistyped(what: &str, want: &str, got: &Json) -> CheckpointError {
-    CheckpointError::Schema(format!(
-        "{what}: expected {want}, found {}",
-        got.type_name()
-    ))
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, CheckpointError> {
+fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
-        .ok_or_else(|| CheckpointError::Schema(format!("missing field {key:?}")))
+        .ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn f64_rows_one(v: &Json, what: &str) -> Result<Vec<f64>, CheckpointError> {
+/// A float field, stored as its bit pattern.
+fn float(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
+    get(obj, key)?.as_u64(key).map(f64::from_bits)
+}
+
+fn f64_rows_one(v: &Json, what: &str) -> Result<Vec<f64>, String> {
     v.as_arr(what)?
         .iter()
-        .map(|b| b.as_f64_bits(what))
+        .map(|b| b.as_u64(what).map(f64::from_bits))
         .collect()
 }
 
-fn f64_rows(v: &Json, what: &str) -> Result<Vec<Vec<f64>>, CheckpointError> {
+fn f64_rows(v: &Json, what: &str) -> Result<Vec<Vec<f64>>, String> {
     v.as_arr(what)?
         .iter()
         .map(|r| f64_rows_one(r, what))
         .collect()
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
-            Some(_) if self.eat_literal("null") => Ok(Json::Null),
-            Some(_) if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(_) if self.eat_literal("false") => Ok(Json::Bool(false)),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(format!(
-                "non-integer number at byte {start} (checkpoint floats are bit patterns)"
-            ));
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
-        s.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|_| format!("number out of u64 range at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "\\u escape not a scalar".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control character at byte {}", self.pos))
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1113,6 +851,15 @@ mod tests {
             Checkpoint::from_json("{\"schema\":\"unico.checkpoint.v1\"}"),
             Err(CheckpointError::Schema(_))
         ));
+    }
+
+    #[test]
+    fn nesting_bomb_is_a_parse_error_not_a_stack_overflow() {
+        let bomb = "{\"schema\":".to_string() + &"[".repeat(100_000);
+        match Checkpoint::from_json(&bomb) {
+            Err(CheckpointError::Parse(m)) => assert!(m.contains("nesting"), "{m}"),
+            other => panic!("expected a nesting parse error, got {other:?}"),
+        }
     }
 
     #[test]

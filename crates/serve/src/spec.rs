@@ -232,21 +232,21 @@ impl JobSpec {
                 "workloads".to_string(),
                 Json::Arr(self.workloads.iter().cloned().map(Json::Str).collect()),
             ),
-            ("max_iter".to_string(), Json::Num(self.max_iter as f64)),
-            ("batch".to_string(), Json::Num(self.batch as f64)),
-            ("b_max".to_string(), Json::Num(self.b_max as f64)),
+            ("max_iter".to_string(), Json::UInt(self.max_iter as u64)),
+            ("batch".to_string(), Json::UInt(self.batch as u64)),
+            ("b_max".to_string(), Json::UInt(self.b_max)),
             (
                 "candidate_pool".to_string(),
-                Json::Num(self.candidate_pool as f64),
+                Json::UInt(self.candidate_pool as u64),
             ),
-            ("seed".to_string(), Json::Num(self.seed as f64)),
+            ("seed".to_string(), Json::UInt(self.seed)),
             (
                 "max_layers_per_network".to_string(),
-                Json::Num(self.max_layers_per_network as f64),
+                Json::UInt(self.max_layers_per_network as u64),
             ),
             (
                 "checkpoint_every".to_string(),
-                Json::Num(self.checkpoint_every as f64),
+                Json::UInt(self.checkpoint_every as u64),
             ),
         ];
         if let Some(p) = self.power_cap_mw {
@@ -256,13 +256,13 @@ impl JobSpec {
             fields.push(("area_cap_mm2".to_string(), Json::Num(a)));
         }
         if let Some(k) = self.kill_after {
-            fields.push(("kill_after".to_string(), Json::Num(k as f64)));
+            fields.push(("kill_after".to_string(), Json::UInt(k as u64)));
         }
         if !self.tenant.is_empty() {
             fields.push(("tenant".to_string(), Json::Str(self.tenant.clone())));
         }
         if let Some(w) = self.engine_workers {
-            fields.push(("engine_workers".to_string(), Json::Num(w as f64)));
+            fields.push(("engine_workers".to_string(), Json::UInt(w.into())));
         }
         if let Some(g) = &self.graph {
             fields.push(("graph".to_string(), Json::Str(g.clone())));
@@ -516,6 +516,17 @@ mod tests {
         let back = JobSpec::from_json(&spec.to_json()).expect("round-trip");
         assert_eq!(back, spec);
         assert_eq!(spec.workload_key(), "ascend-like:resnet50+bert-base");
+    }
+
+    #[test]
+    fn seeds_beyond_2_pow_53_are_exact() {
+        let body = r#"{"platform": "spatial-edge", "workloads": ["mobilenet"],
+                       "seed": 9007199254740993}"#;
+        let spec = parse_submission(body.as_bytes()).expect("valid");
+        assert_eq!(spec.seed, 9_007_199_254_740_993);
+        // The persisted manifest form keeps it exact too.
+        let back = parse_submission(spec.to_json().to_string().as_bytes()).expect("re-parses");
+        assert_eq!(back.seed, 9_007_199_254_740_993);
     }
 
     #[test]

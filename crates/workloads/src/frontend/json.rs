@@ -21,22 +21,21 @@
 //! ```
 //!
 //! `attrs` values may be an integer, an integer array, a float, or a
-//! string — the same four kinds the wire form models. This module
-//! carries its own tiny JSON reader: `unico_workloads` sits below the
-//! service crate in the dependency graph, so it cannot borrow the job
-//! API's parser, and the grammar needed here (objects, arrays,
-//! strings, numbers) is small.
+//! string — the same four kinds the wire form models. The document is
+//! read by the workspace's one JSON parser, [`crate::json`].
 
 use super::graph::{Attr, AttrValue, GraphIr, Node, Tensor};
 use super::FrontendError;
-
-fn err(msg: impl Into<String>) -> FrontendError {
-    FrontendError::Json(msg.into())
-}
+use crate::json::{self, Json};
 
 /// Parses the JSON graph form into the IR.
 pub fn parse_graph_json(text: &str) -> Result<GraphIr, FrontendError> {
-    let value = parse_value(text)?;
+    json::parse(text)
+        .and_then(|v| graph_from(&v))
+        .map_err(FrontendError::Json)
+}
+
+fn graph_from(value: &Json) -> Result<GraphIr, String> {
     let obj = value.as_obj("graph")?;
     let mut g = GraphIr {
         name: get_str(obj, "name")?.unwrap_or_default(),
@@ -60,18 +59,18 @@ pub fn parse_graph_json(text: &str) -> Result<GraphIr, FrontendError> {
     Ok(g)
 }
 
-fn tensor_from(v: &Value, what: &str) -> Result<Tensor, FrontendError> {
+fn tensor_from(v: &Json, what: &str) -> Result<Tensor, String> {
     let obj = v.as_obj(what)?;
     Ok(Tensor {
-        name: get_str(obj, "name")?.ok_or_else(|| err(format!("{what}: missing name")))?,
+        name: get_str(obj, "name")?.ok_or_else(|| format!("{what}: missing name"))?,
         dims: get_ints(obj, "dims")?.unwrap_or_default(),
         int_data: get_ints(obj, "int_data")?.unwrap_or_default(),
     })
 }
 
-fn node_from(v: &Value) -> Result<Node, FrontendError> {
+fn node_from(v: &Json) -> Result<Node, String> {
     let obj = v.as_obj("nodes[]")?;
-    let op_type = get_str(obj, "op")?.ok_or_else(|| err("nodes[]: missing op"))?;
+    let op_type = get_str(obj, "op")?.ok_or("nodes[]: missing op")?;
     let mut node = Node {
         name: get_str(obj, "name")?.unwrap_or_default(),
         op_type,
@@ -96,297 +95,52 @@ fn node_from(v: &Value) -> Result<Node, FrontendError> {
     Ok(node)
 }
 
-fn attr_value_from(name: &str, v: &Value) -> Result<AttrValue, FrontendError> {
+fn attr_value_from(name: &str, v: &Json) -> Result<AttrValue, String> {
     match v {
-        Value::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => Ok(AttrValue::Int(*n as i64)),
-        Value::Num(n) => Ok(AttrValue::Float(*n as f32)),
-        Value::Str(s) => Ok(AttrValue::Str(s.clone())),
-        Value::Arr(items) => {
-            let mut ints = Vec::with_capacity(items.len());
-            for item in items {
-                ints.push(item.as_int(&format!("attr {name:?} element"))?);
-            }
-            Ok(AttrValue::Ints(ints))
-        }
-        other => Err(err(format!(
+        Json::UInt(_) | Json::Num(_) => Ok(match v.as_i64(name) {
+            Ok(i) => AttrValue::Int(i),
+            Err(_) => AttrValue::Float(v.as_f64(name)? as f32),
+        }),
+        Json::Str(s) => Ok(AttrValue::Str(s.clone())),
+        Json::Arr(items) => items
+            .iter()
+            .map(|item| item.as_i64(&format!("attr {name:?} element")))
+            .collect::<Result<_, _>>()
+            .map(AttrValue::Ints),
+        other => Err(format!(
             "attr {name:?}: expected number, string or integer array, found {}",
-            other.kind()
-        ))),
+            other.type_name()
+        )),
     }
 }
 
 // --- schema helpers over the generic value --------------------------------
 
-fn find<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+/// Field lookup that, unlike [`Json::get`], keeps an explicit `null` so
+/// the schema can reject it.
+fn find<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn get_str(obj: &[(String, Value)], key: &str) -> Result<Option<String>, FrontendError> {
+fn get_str(obj: &[(String, Json)], key: &str) -> Result<Option<String>, String> {
     find(obj, key)
         .map(|v| v.as_str(key).map(str::to_string))
         .transpose()
 }
 
-fn get_arr<'a>(
-    obj: &'a [(String, Value)],
-    key: &str,
-) -> Result<Option<&'a [Value]>, FrontendError> {
+fn get_arr<'a>(obj: &'a [(String, Json)], key: &str) -> Result<Option<&'a [Json]>, String> {
     find(obj, key).map(|v| v.as_arr(key)).transpose()
 }
 
-fn get_ints(obj: &[(String, Value)], key: &str) -> Result<Option<Vec<i64>>, FrontendError> {
-    match find(obj, key) {
-        None => Ok(None),
-        Some(v) => {
-            let items = v.as_arr(key)?;
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(item.as_int(&format!("{key}[]"))?);
-            }
-            Ok(Some(out))
-        }
-    }
-}
-
-// --- the tiny JSON reader --------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        }
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Value)], FrontendError> {
-        match self {
-            Value::Obj(fields) => Ok(fields),
-            v => Err(err(format!("{what}: expected object, found {}", v.kind()))),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Value], FrontendError> {
-        match self {
-            Value::Arr(items) => Ok(items),
-            v => Err(err(format!("{what}: expected array, found {}", v.kind()))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, FrontendError> {
-        match self {
-            Value::Str(s) => Ok(s),
-            v => Err(err(format!("{what}: expected string, found {}", v.kind()))),
-        }
-    }
-
-    fn as_int(&self, what: &str) -> Result<i64, FrontendError> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => Ok(*n as i64),
-            v => Err(err(format!("{what}: expected integer, found {}", v.kind()))),
-        }
-    }
-}
-
-/// Recursion bound: parse of untrusted text must not overflow the stack.
-const MAX_DEPTH: usize = 64;
-
-fn parse_value(text: &str) -> Result<Value, FrontendError> {
-    let mut p = Cursor {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(err(format!("trailing garbage at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), FrontendError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(err(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, FrontendError> {
-        if depth > MAX_DEPTH {
-            return Err(err(format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) if self.eat_lit("null") => Ok(Value::Null),
-            Some(_) if self.eat_lit("true") => Ok(Value::Bool(true)),
-            Some(_) if self.eat_lit("false") => Ok(Value::Bool(false)),
-            _ => Err(err(format!("unexpected input at byte {}", self.pos))),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, FrontendError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            fields.push((key, self.value(depth + 1)?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(err(format!("expected ',' or '}}' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, FrontendError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(err(format!("expected ',' or ']' at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, FrontendError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        s.parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite())
-            .map(Value::Num)
-            .ok_or_else(|| err(format!("bad number at byte {start}")))
-    }
-
-    fn string(&mut self) -> Result<String, FrontendError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        _ => return Err(err(format!("bad escape at byte {}", self.pos))),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(err(format!("raw control character at byte {}", self.pos)))
-                }
-                Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| err("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
+fn get_ints(obj: &[(String, Json)], key: &str) -> Result<Option<Vec<i64>>, String> {
+    find(obj, key)
+        .map(|v| {
+            v.as_arr(key)?
+                .iter()
+                .map(|item| item.as_i64(&format!("{key}[]")))
+                .collect()
+        })
+        .transpose()
 }
 
 #[cfg(test)]
@@ -404,7 +158,9 @@ mod tests {
               "nodes": [{"op": "Conv", "name": "c0",
                          "inputs": ["x", "w"], "outputs": ["y"],
                          "attrs": {"strides": [2, 2], "group": 1, "alpha": 0.5,
-                                   "mode": "same"}}],
+                                   "mode": "same"}},
+                        {"op": "Relu", "name": "caf\u00e9\b\"1\"",
+                         "inputs": ["y"], "outputs": ["z"]}],
               "outputs": ["y"]
             }"#,
         )
@@ -423,6 +179,8 @@ mod tests {
             .attrs
             .iter()
             .any(|a| matches!(&a.value, AttrValue::Str(s) if s == "same")));
+        // `\uXXXX`, `\b` and `\"` escapes decode (as `json.dumps` emits them).
+        assert_eq!(g.nodes[1].name, "caf\u{e9}\u{8}\"1\"");
     }
 
     #[test]

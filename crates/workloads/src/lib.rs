@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod frontend;
+pub mod json;
 mod layer;
 mod nest;
 mod network;

@@ -1,7 +1,7 @@
 //! Outer-loop benchmarks: one UNICO MOBO iteration, one NSGA-II
-//! generation, a full successive-halving round over a batch of hardware
-//! sessions, and the pool-setup comparison between the persistent
-//! mapping engine and respawn-per-round execution.
+//! generation, a full successive-halving run over a batch of hardware
+//! sessions, and four doubling-budget advances on the persistent
+//! mapping engine.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,8 +11,8 @@ use unico_core::{Unico, UnicoConfig};
 use unico_model::{Platform, SpatialPlatform};
 use unico_search::sh::{self, ShConfig};
 use unico_search::{
-    advance_pooled, advance_with_engine, run_nsga2, CoSearchEnv, EnvConfig, HwSession,
-    MappingEngine, Nsga2Config,
+    advance_with_engine, run_nsga2, CoSearchEnv, EnvConfig, HwSession, MappingEngine, Nsga2Config,
+    Telemetry,
 };
 use unico_workloads::zoo;
 
@@ -39,41 +39,33 @@ fn sessions<'e>(
         .collect()
 }
 
+const WORKERS: usize = 8;
+
 fn bench_sh_round(b: &mut MicroBench, e: &CoSearchEnv<'_, SpatialPlatform>) {
+    let engine = MappingEngine::new(WORKERS);
+    let telemetry = Telemetry::new();
     let mut seed = 0u64;
     b.run("msh_batch8_b64", || {
         seed += 1;
         let mut ss = sessions(e, 8, seed);
-        sh::run(&mut ss, &ShConfig::modified(64))
+        sh::run(&mut ss, &ShConfig::modified(64), &engine, &telemetry, None)
     });
 }
 
-/// The acceptance comparison for the persistent engine: identical
-/// mapping work (N=8 sessions through doubling rounds to b_max=64),
-/// once on a pool spawned a single time and once respawning `workers`
-/// threads every round — the seed's per-round behavior.
-fn bench_pool_setup(b: &mut MicroBench, e: &CoSearchEnv<'_, SpatialPlatform>) {
-    const WORKERS: usize = 8;
+/// N=8 sessions through doubling rounds to b_max=64 on a pool spawned
+/// once, outside the timed region.
+fn bench_engine_rounds(b: &mut MicroBench, e: &CoSearchEnv<'_, SpatialPlatform>) {
     const ROUNDS: [u64; 4] = [8, 16, 32, 64];
 
     let engine = MappingEngine::new(WORKERS);
+    let telemetry = Telemetry::new();
     let mut seed = 0u64;
     b.run("rounds_engine_n8_b64", || {
         seed += 1;
         let mut ss = sessions(e, 8, seed);
         let select = vec![true; 8];
         for budget in ROUNDS {
-            advance_with_engine(&engine, &mut ss, &select, budget);
-        }
-    });
-
-    let mut seed = 0u64;
-    b.run("rounds_respawn_n8_b64", || {
-        seed += 1;
-        let mut ss = sessions(e, 8, seed);
-        let select = vec![true; 8];
-        for budget in ROUNDS {
-            advance_pooled(&mut ss, &select, budget, WORKERS);
+            advance_with_engine(&engine, &mut ss, &select, budget, None, &telemetry);
         }
     });
 }
@@ -116,28 +108,8 @@ fn main() {
     let e = env(&platform);
     let mut b = MicroBench::new();
     bench_sh_round(&mut b, &e);
-    bench_pool_setup(&mut b, &e);
+    bench_engine_rounds(&mut b, &e);
     bench_unico_iteration(&mut b, &e);
     bench_nsga_generation(&mut b, &e);
     println!("\n{}", b.to_markdown());
-
-    let engine = b
-        .rows()
-        .iter()
-        .find(|r| r.name == "rounds_engine_n8_b64")
-        .map(|r| r.median_ns);
-    let respawn = b
-        .rows()
-        .iter()
-        .find(|r| r.name == "rounds_respawn_n8_b64")
-        .map(|r| r.median_ns);
-    if let (Some(engine), Some(respawn)) = (engine, respawn) {
-        println!(
-            "pool setup: persistent engine {:.3} ms vs respawn {:.3} ms per 4-round advance \
-             ({:+.1}% delta)",
-            engine / 1e6,
-            respawn / 1e6,
-            100.0 * (respawn - engine) / engine
-        );
-    }
 }

@@ -742,16 +742,9 @@ impl Unico {
                 b_max: cfg.b_max,
                 auc_fraction: cfg.auc_fraction,
                 min_budget: 8,
-                workers: cfg.workers as usize,
             };
             telemetry.time("mapping_search", || {
-                sh::run_with_engine_faulted(
-                    &mut sessions,
-                    &sh_cfg,
-                    &engine,
-                    &telemetry,
-                    opts.faults,
-                )
+                sh::run(&mut sessions, &sh_cfg, &engine, &telemetry, opts.faults)
             });
             telemetry.add(
                 Counter::MappingEvals,
@@ -904,11 +897,7 @@ impl Unico {
             }
         }
 
-        let m = engine.metrics();
-        telemetry.add(Counter::EngineJobs, m.jobs_executed);
-        telemetry.add(Counter::EngineBatches, m.batches);
-        telemetry.add(Counter::EnginePanics, m.panics_contained);
-        telemetry.add(Counter::EngineThreadsSpawned, m.threads_spawned);
+        telemetry.add_engine_metrics(engine.metrics());
         if let (Some(cache), Some(start)) = (env.platform().eval_cache(), batch_start) {
             let d = cache.batch_stats().delta_since(&start);
             telemetry.add(Counter::CacheBatchLookups, d.lookups);

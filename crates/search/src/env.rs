@@ -16,6 +16,8 @@ use unico_mapping::{
 use unico_model::{Platform, Ppa};
 use unico_workloads::{FusionEdge, ImportedGraph, LoopNest, Network};
 
+use crate::engine::{advance_with_engine, MappingEngine};
+
 /// Evaluation policy of a [`CoSearchEnv`].
 #[derive(Debug, Clone, Copy)]
 pub struct EnvConfig {
@@ -508,37 +510,15 @@ fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / positive.len() as f64).exp()
 }
 
-/// Advances the selected sessions to `budget` in parallel (one thread
-/// per session — the paper's per-job multiprocessing).
-///
-/// This is the *transient* path: it spawns one scoped thread per
-/// selected session and joins them before returning. Steady-state
-/// callers should prefer [`crate::advance_with_engine`] on a persistent
-/// [`crate::MappingEngine`] instead.
-pub fn advance_parallel<P: Platform>(
-    sessions: &mut [HwSession<'_, P>],
-    select: &[bool],
-    budget: u64,
-) where
-    P::Hw: Send,
-{
-    assert_eq!(sessions.len(), select.len(), "selection mask length");
-    std::thread::scope(|scope| {
-        for (sess, &on) in sessions.iter_mut().zip(select) {
-            if on {
-                scope.spawn(move || sess.advance_to(budget));
-            }
-        }
-    });
-}
-
 /// Evaluates a batch of hardware candidates at a fixed full budget (no
-/// early stopping): opens a session per candidate, advances all in
-/// parallel, and returns `(hw, assessment)` pairs plus the CPU seconds
-/// consumed and the parallel width of the phase.
+/// early stopping): opens a session per candidate, advances all of them
+/// on `engine`, and returns `(hw, assessment)` pairs plus the CPU
+/// seconds consumed and the parallel width of the phase. A candidate
+/// whose mapping search panics is poisoned and assesses infeasible.
 #[allow(clippy::type_complexity)]
 pub fn evaluate_batch<P: Platform>(
     env: &CoSearchEnv<'_, P>,
+    engine: &MappingEngine,
     hws: Vec<P::Hw>,
     budget: u64,
     seed: u64,
@@ -552,9 +532,9 @@ where
         .map(|(i, hw)| env.session(hw, seed.wrapping_add(i as u64)))
         .collect();
     let select = vec![true; sessions.len()];
-    advance_parallel(&mut sessions, &select, budget);
-    let cpu: f64 = sessions.iter().map(HwSession::cost_seconds).sum();
     let global = crate::telemetry::Telemetry::global();
+    advance_with_engine(engine, &mut sessions, &select, budget, None, global);
+    let cpu: f64 = sessions.iter().map(HwSession::cost_seconds).sum();
     global.add(
         crate::telemetry::Counter::MappingEvals,
         sessions.iter().map(HwSession::total_steps).sum(),
@@ -637,21 +617,6 @@ mod tests {
         s.advance_to(60);
         assert!(s.assess().is_none());
         assert_eq!(s.terminal_value(), f64::INFINITY);
-    }
-
-    #[test]
-    fn parallel_advance_matches_serial_budgets() {
-        let p = SpatialPlatform::edge();
-        let e = env(&p);
-        let mut rng = rand::SeedableRng::seed_from_u64(7);
-        let mut sessions: Vec<_> = (0..4)
-            .map(|i| e.session(e.platform().sample_hw(&mut rng), i))
-            .collect();
-        let select = vec![true, false, true, true];
-        advance_parallel(&mut sessions, &select, 30);
-        assert_eq!(sessions[0].spent(), 30);
-        assert_eq!(sessions[1].spent(), 0);
-        assert_eq!(sessions[2].spent(), 30);
     }
 
     #[test]

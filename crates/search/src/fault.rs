@@ -19,7 +19,7 @@
 //! same plan inject the same faults at the same sites, which keeps
 //! fault-injected runs replayable and their reports byte-comparable.
 //!
-//! Retry semantics live in [`crate::pool::advance_with_engine_faulted`]:
+//! Retry semantics live in [`crate::advance_with_engine`]:
 //! a failed attempt (error or over-deadline stall) is retried up to
 //! [`RetryPolicy::max_retries`] times with exponential backoff; a
 //! session that still fails is *quarantined* — poisoned so it assesses

@@ -15,7 +15,9 @@ use unico_surrogate::pareto::ParetoFront;
 use unico_surrogate::scalarize::{normalize_columns, parego, sample_simplex, DEFAULT_RHO};
 use unico_surrogate::{expected_improvement, GaussianProcess, KernelKind};
 
+use crate::engine::MappingEngine;
 use crate::env::{evaluate_batch, CoSearchEnv};
+use crate::telemetry::Telemetry;
 use crate::trace::{SearchTrace, SimClock};
 use crate::CoSearchResult;
 
@@ -32,8 +34,10 @@ pub struct HascoConfig {
     pub warmup: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Parallel workers for cost accounting (inner jobs only — the outer
-    /// loop is sequential, which is HASCO's handicap).
+    /// Parallel workers, both for cost accounting and as the width of
+    /// the run's mapping engine (the real threads running inner jobs).
+    /// Only inner jobs run in parallel — the outer loop is sequential,
+    /// which is HASCO's handicap.
     pub workers: u32,
 }
 
@@ -63,6 +67,8 @@ where
     let mut xs: Vec<Vec<f64>> = Vec::new();
     let mut ys: Vec<Vec<f64>> = Vec::new();
     let mut hw_evals = 0usize;
+    // One worker pool for every iteration's full-budget mapping search.
+    let engine = MappingEngine::new((cfg.workers as usize).max(1));
 
     for iter in 0..cfg.iterations {
         let candidate = if iter < cfg.warmup || xs.is_empty() {
@@ -102,6 +108,7 @@ where
 
         let (evald, cpu, width) = evaluate_batch(
             env,
+            &engine,
             vec![candidate],
             cfg.inner_budget,
             cfg.seed.wrapping_add(iter as u64 * 104729),
@@ -124,6 +131,7 @@ where
         }
         trace.record(clock.seconds(), front.objectives());
     }
+    Telemetry::global().add_engine_metrics(engine.metrics());
 
     CoSearchResult {
         front,

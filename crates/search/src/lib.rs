@@ -5,9 +5,12 @@
 //!
 //! * [`CoSearchEnv`] / [`HwSession`] — the shared evaluation environment:
 //!   one session per hardware candidate holds a resumable mapping
-//!   searcher per (network, layer) job, advances them in parallel, and
-//!   aggregates per-layer best mappings into network-level PPA with
-//!   simulated wall-clock cost accounting;
+//!   searcher per (network, layer) job and aggregates per-layer best
+//!   mappings into network-level PPA with simulated wall-clock cost
+//!   accounting;
+//! * [`MappingEngine`] / [`advance_with_engine`] — the one fixed worker
+//!   pool every co-optimizer runs its mapping jobs on (the paper's §3.5
+//!   master/slave model);
 //! * [`sh`] — successive halving and the paper's *modified* successive
 //!   halving (MSH) that promotes by terminal value **and** convergence
 //!   rate (AUC);
@@ -35,21 +38,17 @@ pub mod fault;
 mod hasco;
 mod hyperband;
 mod nsga2;
-pub mod pool;
 pub mod sh;
 pub mod telemetry;
 mod trace;
 
 pub use bohb::{run_mobohb, MobohbConfig};
-pub use engine::{EngineMetrics, MappingEngine};
-pub use env::{
-    advance_parallel, evaluate_batch, Assessment, CoSearchEnv, EnvConfig, FusionReport, HwSession,
-};
+pub use engine::{advance_with_engine, EngineMetrics, MappingEngine};
+pub use env::{evaluate_batch, Assessment, CoSearchEnv, EnvConfig, FusionReport, HwSession};
 pub use fault::{FaultContext, FaultKind, FaultPlan, RetryPolicy};
 pub use hasco::{run_hasco, HascoConfig};
 pub use hyperband::{run_hyperband, HyperbandConfig};
 pub use nsga2::{run_nsga2, Nsga2Config};
-pub use pool::{advance_pooled, advance_with_engine, advance_with_engine_faulted, ComputeTopology};
 pub use telemetry::{
     CacheReport, CheckpointReport, Counter, FaultReport, RunReport, Telemetry, TelemetrySnapshot,
 };

@@ -15,10 +15,9 @@
 
 use unico_model::Platform;
 
-use crate::engine::MappingEngine;
+use crate::engine::{advance_with_engine, MappingEngine};
 use crate::env::HwSession;
 use crate::fault::FaultContext;
-use crate::pool::{advance_with_engine, advance_with_engine_faulted};
 use crate::telemetry::{Counter, Telemetry};
 
 /// Configuration of a successive-halving run.
@@ -31,9 +30,6 @@ pub struct ShConfig {
     pub auc_fraction: f64,
     /// Lower bound on any round's budget.
     pub min_budget: u64,
-    /// Concurrent mapping-search workers draining the round's job queue
-    /// (the paper's slave pool, Fig. 6).
-    pub workers: usize,
 }
 
 impl ShConfig {
@@ -43,7 +39,6 @@ impl ShConfig {
             b_max,
             auc_fraction: 0.0,
             min_budget: 8,
-            workers: 16,
         }
     }
 
@@ -53,7 +48,6 @@ impl ShConfig {
             b_max,
             auc_fraction: 0.15,
             min_budget: 8,
-            workers: 16,
         }
     }
 }
@@ -70,54 +64,21 @@ pub struct ShOutcome {
     pub contained_panics: u64,
 }
 
-/// Runs SH/MSH over `sessions` on a transient engine.
+/// Runs SH/MSH over `sessions`, advancing each round's survivors on the
+/// caller's persistent engine and recording counters into `telemetry`.
+/// All sessions retain their (partial) histories so the caller can
+/// still assess early-stopped candidates.
 ///
-/// Spawns (and on return tears down) a worker pool of its own; loops
-/// should create one [`MappingEngine`] and call [`run_with_engine`].
-///
-/// # Panics
-///
-/// Panics if `sessions` is empty.
-pub fn run<P: Platform>(sessions: &mut [HwSession<'_, P>], cfg: &ShConfig) -> ShOutcome
-where
-    P::Hw: Send,
-{
-    let engine = MappingEngine::new(cfg.workers);
-    let telemetry = Telemetry::new();
-    run_with_engine(sessions, cfg, &engine, &telemetry)
-}
-
-/// Runs SH/MSH over `sessions`, advancing survivors on the given
-/// persistent engine and recording counters into `telemetry`. All
-/// sessions retain their (partial) histories so the caller can still
-/// assess early-stopped candidates.
+/// With `faults`, every round's advance is one fault batch (see
+/// [`advance_with_engine`]): transient failures are retried and
+/// sessions that exhaust their retries are quarantined. Poisoned
+/// sessions — quarantined or panicked — stay in the candidate set but
+/// assess as infeasible, so promotion naturally drops them.
 ///
 /// # Panics
 ///
 /// Panics if `sessions` is empty.
-pub fn run_with_engine<P: Platform>(
-    sessions: &mut [HwSession<'_, P>],
-    cfg: &ShConfig,
-    engine: &MappingEngine,
-    telemetry: &Telemetry,
-) -> ShOutcome
-where
-    P::Hw: Send,
-{
-    run_with_engine_faulted(sessions, cfg, engine, telemetry, None)
-}
-
-/// [`run_with_engine`] with an optional deterministic fault-injection
-/// context: every round's advance goes through
-/// [`advance_with_engine_faulted`], which retries transient failures and
-/// quarantines sessions that exhaust their retries. Poisoned sessions
-/// stay in the candidate set but assess as infeasible, so promotion
-/// naturally drops them.
-///
-/// # Panics
-///
-/// Panics if `sessions` is empty.
-pub fn run_with_engine_faulted<P: Platform>(
+pub fn run<P: Platform>(
     sessions: &mut [HwSession<'_, P>],
     cfg: &ShConfig,
     engine: &MappingEngine,
@@ -143,12 +104,8 @@ where
     for j in 1..=rounds {
         let budget = (cfg.b_max >> (rounds - j)).max(cfg.min_budget).max(1);
         round_budgets.push(budget);
-        contained_panics += match faults {
-            Some(ctx) => {
-                advance_with_engine_faulted(engine, sessions, &alive, budget, ctx, telemetry)
-            }
-            None => advance_with_engine(engine, sessions, &alive, budget),
-        };
+        contained_panics +=
+            advance_with_engine(engine, sessions, &alive, budget, faults, telemetry);
         telemetry.add(Counter::ShRounds, 1);
         if j == rounds {
             break;
@@ -314,6 +271,10 @@ mod tests {
             .collect()
     }
 
+    fn run_fresh(ss: &mut [HwSession<'_, SpatialPlatform>], cfg: &ShConfig) -> ShOutcome {
+        run(ss, cfg, &MappingEngine::new(4), &Telemetry::new(), None)
+    }
+
     fn test_env(p: &SpatialPlatform) -> CoSearchEnv<'_, SpatialPlatform> {
         CoSearchEnv::new(
             p,
@@ -331,7 +292,7 @@ mod tests {
         let p = SpatialPlatform::edge();
         let env = test_env(&p);
         let mut ss = sessions(&env, 8);
-        let out = run(&mut ss, &ShConfig::plain(64));
+        let out = run_fresh(&mut ss, &ShConfig::plain(64));
         assert_eq!(out.round_budgets.len(), 3);
         assert_eq!(*out.round_budgets.last().unwrap(), 64);
         assert_eq!(out.contained_panics, 0);
@@ -351,7 +312,7 @@ mod tests {
         let p = SpatialPlatform::edge();
         let env = test_env(&p);
         let mut ss = sessions(&env, 8);
-        let out = run(&mut ss, &ShConfig::modified(64));
+        let out = run_fresh(&mut ss, &ShConfig::modified(64));
         assert_eq!(out.finalists.len(), 2);
     }
 
@@ -362,7 +323,7 @@ mod tests {
         let engine = MappingEngine::new(4);
         let telemetry = Telemetry::new();
         let mut ss = sessions(&env, 8);
-        let out = run_with_engine(&mut ss, &ShConfig::modified(64), &engine, &telemetry);
+        let out = run(&mut ss, &ShConfig::modified(64), &engine, &telemetry, None);
         assert_eq!(out.finalists.len(), 2);
         let m = engine.metrics();
         assert_eq!(m.threads_spawned, 4, "one spawn for all rounds");
@@ -380,7 +341,7 @@ mod tests {
         let p = SpatialPlatform::edge();
         let env = test_env(&p);
         let mut ss = sessions(&env, 1);
-        let out = run(&mut ss, &ShConfig::plain(32));
+        let out = run_fresh(&mut ss, &ShConfig::plain(32));
         assert_eq!(out.finalists, vec![0]);
         assert_eq!(ss[0].spent(), 32);
     }

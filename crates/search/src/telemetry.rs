@@ -284,6 +284,16 @@ impl Telemetry {
         self.add(Counter::FusionGroupsAccepted, s.groups_accepted);
     }
 
+    /// Books a mapping engine's lifetime counters (jobs, batches,
+    /// contained panics, threads spawned); every co-optimizer calls it
+    /// once when its engine's run ends.
+    pub fn add_engine_metrics(&self, m: crate::engine::EngineMetrics) {
+        self.add(Counter::EngineJobs, m.jobs_executed);
+        self.add(Counter::EngineBatches, m.batches);
+        self.add(Counter::EnginePanics, m.panics_contained);
+        self.add(Counter::EngineThreadsSpawned, m.threads_spawned);
+    }
+
     /// Captures the current counter and phase-timer totals as a
     /// [`TelemetrySnapshot`] — the unit the service layer diffs to
     /// stream per-iteration telemetry deltas over NDJSON.
